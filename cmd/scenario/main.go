@@ -18,6 +18,7 @@
 //	                   [-crash-leader D] [-restart-leader D]
 //	                   [-compact-every N] [-failover-timeout D]
 //	                   [-format text|csv|json] [-timeline out.json]
+//	                   [-cpuprofile F] [-memprofile F]
 //
 // `list` enumerates the canned scenarios and the registered protocols.
 // `run` executes a scenario across its protocol set and seed matrix and
@@ -67,7 +68,7 @@
 // key census in the JSON output, and judge agreement slot-aligned (a
 // restarted replica's recorder restarts at its replay point).
 //
-// Both run and sweep take -cpuprofile and -memprofile, writing pprof
+// run, sweep and rsm-bench take -cpuprofile and -memprofile, writing pprof
 // profiles that cover exactly the executed workload — perf work profiles
 // the real scenario engine under the real regime mix instead of a
 // synthetic benchmark (`go tool pprof cpu.prof` to inspect).
@@ -379,6 +380,8 @@ func cmdRSMBench(args []string, out io.Writer) error {
 		restart  = fs.Duration("restart-leader", 0, "restart the crashed leader this long into the run (needs -crash-leader)")
 		compact  = fs.Int64("compact-every", 0, "snapshot and truncate the log every N applied slots (default 0: off)")
 		fotmo    = fs.Duration("failover-timeout", 0, "leader-silence window before takeover (default 10×δ when -crash-leader is set)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the runs to this file")
+		memProf  = fs.String("memprofile", "", "write a post-run heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -408,68 +411,70 @@ func cmdRSMBench(args []string, out io.Writer) error {
 		}
 	}
 
-	var results []*rsmbench.Result
-	var procs []trace.TimelineProcess
-	for _, b := range batches {
-		for _, k := range pipelines {
-			res, err := rsmbench.Run(rsmbench.Config{
-				Backend: *backend, N: *n, Clients: *clients, Ops: *ops,
-				Keys: *keys, MaxBatch: b, MaxInFlight: k, MaxQueue: *queue,
-				Linger: *linger, OpenInterval: *open, Delta: *delta,
-				Seed: *seed, Observe: *timeline != "",
-				CrashLeaderAt: *crash, RestartLeaderAt: *restart,
-				CompactEvery: *compact, FailoverTimeout: *fotmo,
-			})
+	return withProfiles(*cpuProf, *memProf, func() error {
+		var results []*rsmbench.Result
+		var procs []trace.TimelineProcess
+		for _, b := range batches {
+			for _, k := range pipelines {
+				res, err := rsmbench.Run(rsmbench.Config{
+					Backend: *backend, N: *n, Clients: *clients, Ops: *ops,
+					Keys: *keys, MaxBatch: b, MaxInFlight: k, MaxQueue: *queue,
+					Linger: *linger, OpenInterval: *open, Delta: *delta,
+					Seed: *seed, Observe: *timeline != "",
+					CrashLeaderAt: *crash, RestartLeaderAt: *restart,
+					CompactEvery: *compact, FailoverTimeout: *fotmo,
+				})
+				if err != nil {
+					return err
+				}
+				results = append(results, res)
+				if *timeline != "" {
+					procs = append(procs, trace.TimelineProcess{
+						PID:  len(procs),
+						Name: fmt.Sprintf("rsm-bench/%s/batch=%d/k=%d", res.Backend, res.MaxBatch, res.MaxInFlight),
+						Snap: res.Collector().Snapshot(),
+					})
+				}
+			}
+		}
+
+		switch *format {
+		case "csv":
+			fmt.Fprint(out, rsmbench.CSV(results))
+		case "json":
+			s, err := rsmbench.JSON(results)
 			if err != nil {
 				return err
 			}
-			results = append(results, res)
-			if *timeline != "" {
-				procs = append(procs, trace.TimelineProcess{
-					PID:  len(procs),
-					Name: fmt.Sprintf("rsm-bench/%s/batch=%d/k=%d", res.Backend, res.MaxBatch, res.MaxInFlight),
-					Snap: res.Collector().Snapshot(),
-				})
+			fmt.Fprintln(out, s)
+		default:
+			fmt.Fprint(out, rsmbench.Text(results))
+		}
+		if *timeline != "" {
+			fh, err := os.Create(*timeline)
+			if err != nil {
+				return fmt.Errorf("create timeline: %w", err)
+			}
+			werr := trace.WriteChromeTrace(fh, procs)
+			if cerr := fh.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil {
+				return fmt.Errorf("write timeline: %w", werr)
+			}
+			fmt.Fprintf(out, "timeline: %d run(s) written to %s (open in chrome://tracing or ui.perfetto.dev)\n", len(procs), *timeline)
+		}
+		failed := 0
+		for _, r := range results {
+			if !r.Passed() {
+				failed++
 			}
 		}
-	}
-
-	switch *format {
-	case "csv":
-		fmt.Fprint(out, rsmbench.CSV(results))
-	case "json":
-		s, err := rsmbench.JSON(results)
-		if err != nil {
-			return err
+		if failed > 0 {
+			return fmt.Errorf("%d run(s) failed (timeout or invariant violations)", failed)
 		}
-		fmt.Fprintln(out, s)
-	default:
-		fmt.Fprint(out, rsmbench.Text(results))
-	}
-	if *timeline != "" {
-		fh, err := os.Create(*timeline)
-		if err != nil {
-			return fmt.Errorf("create timeline: %w", err)
-		}
-		werr := trace.WriteChromeTrace(fh, procs)
-		if cerr := fh.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("write timeline: %w", werr)
-		}
-		fmt.Fprintf(out, "timeline: %d run(s) written to %s (open in chrome://tracing or ui.perfetto.dev)\n", len(procs), *timeline)
-	}
-	failed := 0
-	for _, r := range results {
-		if !r.Passed() {
-			failed++
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d run(s) failed (timeout or invariant violations)", failed)
-	}
-	return nil
+		return nil
+	})
 }
 
 // axisFlags accumulates repeated -axis flags into parsed grid axes.

@@ -385,6 +385,27 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 	}
 }
 
+// TestRSMBenchProfileFlagsWriteFiles smokes the same hooks on rsm-bench,
+// the serving-path load whose allocation profile perf work starts from.
+func TestRSMBenchProfileFlagsWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.prof")
+	mem := filepath.Join(dir, "mem.prof")
+	if out, err := capture(t, "rsm-bench", "-clients", "4", "-ops", "5",
+		"-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("rsm-bench profile not written: %v", err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("rsm-bench profile %s is empty", p)
+		}
+	}
+}
+
 // TestRSMBenchMatrix crosses -batch and -pipeline into one run per cell and
 // checks the CSV carries the knobs and a positive throughput for each.
 func TestRSMBenchMatrix(t *testing.T) {

@@ -295,8 +295,8 @@ func (r *Replica) forwardQueue() {
 		if qc.cmd.Seq != 0 {
 			delete(r.tracked, sessionKey{qc.cmd.Client, qc.cmd.Seq})
 		}
-		for _, w := range qc.waiters {
-			r.env.Send(w, Redirect{Leader: lead, Epoch: r.epoch})
+		for i := 0; i < qc.numWaiters(); i++ {
+			r.env.Send(qc.waiterAt(i), Redirect{Leader: lead, Epoch: r.epoch})
 		}
 	}
 	r.queue = nil

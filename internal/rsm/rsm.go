@@ -158,10 +158,25 @@ type SlotMsg struct {
 	Inner consensus.Message
 }
 
-// Type implements consensus.Message.
+// Type implements consensus.Message: "rsm-" + the inner type. The network
+// asks every message for its type, so the modpaxos inner types return
+// constants; only an unknown inner message pays for the concatenation.
+//
+//repro:hotpath
 func (m SlotMsg) Type() string {
-	if m.Inner == nil {
+	switch m.Inner.(type) {
+	case nil:
 		return "rsm-slot"
+	case modpaxos.P1a:
+		return "rsm-p1a"
+	case modpaxos.P1b:
+		return "rsm-p1b"
+	case modpaxos.P2a:
+		return "rsm-p2a"
+	case modpaxos.P2b:
+		return "rsm-p2b"
+	case modpaxos.Decided:
+		return "rsm-decided"
 	}
 	return "rsm-" + m.Inner.Type()
 }
@@ -280,20 +295,35 @@ type sessionKey struct {
 }
 
 // queuedCmd is one client command riding through queue → slot → apply with
-// the clients to acknowledge.
+// the clients to acknowledge: waiter first, then any others in arrival
+// order. Almost every command has exactly one waiter, held inline.
 type queuedCmd struct {
 	cmd        Command
-	waiters    []consensus.ProcessID
+	waiter     consensus.ProcessID
+	more       []consensus.ProcessID
 	enqueuedAt time.Duration
 }
 
 func (q *queuedCmd) addWaiter(p consensus.ProcessID) {
-	for _, w := range q.waiters {
+	if p == q.waiter {
+		return
+	}
+	for _, w := range q.more {
 		if w == p {
 			return
 		}
 	}
-	q.waiters = append(q.waiters, p)
+	q.more = append(q.more, p)
+}
+
+// numWaiters and waiterAt list the waiters in arrival order.
+func (q *queuedCmd) numWaiters() int { return 1 + len(q.more) }
+
+func (q *queuedCmd) waiterAt(i int) consensus.ProcessID {
+	if i == 0 {
+		return q.waiter
+	}
+	return q.more[i-1]
 }
 
 // Session is the per-client dedup state: the highest applied sequence
@@ -377,6 +407,10 @@ type Replica struct {
 	nextSlot  int64 // proposer: next slot to assign
 	applied   int64 // number of contiguous slots applied
 	decisions map[int64]consensus.Value
+	// replies holds, per decided slot, the boxed SlotMsg{Decided} that
+	// answers stragglers of its retired instance: built on the first
+	// straggler, resent to the rest, dropped with the decision.
+	replies map[int64]consensus.Message
 	// decidedAt records each slot's decision time until it applies, for the
 	// decide→apply lag histogram.
 	decidedAt map[int64]time.Duration
@@ -403,6 +437,11 @@ type Replica struct {
 	// dedup covers.
 	pending     map[int64]consensus.Value
 	lingerArmed bool
+	// Reused batch-codec scratch: flushCmds and flushBuf encode a batch in
+	// tryFlush, applyCmds holds a decoded batch in applyReady.
+	flushCmds []Command
+	flushBuf  []byte
+	applyCmds []Command
 
 	// sessions is the apply-side dedup state, rebuilt from the log on
 	// restart because it is only mutated while applying.
@@ -447,7 +486,7 @@ type Replica struct {
 
 type slotState struct {
 	proc consensus.Process
-	env  *slotEnv
+	env  slotEnv
 }
 
 var _ consensus.Process = (*Replica)(nil)
@@ -464,6 +503,7 @@ func New(cfg Config) (consensus.Factory, error) {
 			id: id, n: n, cfg: cfg, factory: inner,
 			slots:      make(map[int64]*slotState),
 			decisions:  make(map[int64]consensus.Value),
+			replies:    make(map[int64]consensus.Message),
 			decidedAt:  make(map[int64]time.Duration),
 			proposedAt: make(map[int64]time.Duration),
 			tracked:    make(map[sessionKey]*queuedCmd),
@@ -677,9 +717,9 @@ func (r *Replica) onPropose(from consensus.ProcessID, msg ClientPropose) {
 	}
 	qc := &queuedCmd{
 		cmd:        Command{Client: msg.Client, Seq: msg.Seq, Op: msg.Cmd},
+		waiter:     from,
 		enqueuedAt: r.env.Now(),
 	}
-	qc.addWaiter(from)
 	r.queue = append(r.queue, qc)
 	if msg.Seq != 0 {
 		r.tracked[sessionKey{msg.Client, msg.Seq}] = qc
@@ -725,11 +765,12 @@ func (r *Replica) tryFlush(force bool) {
 		copy(batch, r.queue)
 		r.queue = r.queue[:copy(r.queue, r.queue[take:])]
 
-		cmds := make([]Command, take)
-		for i, qc := range batch {
-			cmds[i] = qc.cmd
+		r.flushCmds = r.flushCmds[:0]
+		for _, qc := range batch {
+			r.flushCmds = append(r.flushCmds, qc.cmd)
 		}
-		val := EncodeBatch(cmds)
+		r.flushBuf = appendBatch(r.flushBuf[:0], r.flushCmds)
+		val := consensus.Value(r.flushBuf)
 		slot := r.assignSlot()
 		r.pending[slot] = val
 		r.proposed[slot] = batch
@@ -808,6 +849,10 @@ func (r *Replica) flushParked() {
 	r.parked = kept
 }
 
+// onSlotMsg routes a slot's protocol message to its instance, or answers
+// it from the decision log once the instance has retired.
+//
+//repro:hotpath
 func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
 	if msg.Slot < 0 || msg.Slot >= r.cfg.MaxSlots || msg.Inner == nil {
 		return
@@ -822,7 +867,12 @@ func (r *Replica) onSlotMsg(from consensus.ProcessID, msg SlotMsg) {
 			// process would, except for Decided announcements (the sender
 			// already knows the value).
 			if _, isDecided := msg.Inner.(modpaxos.Decided); !isDecided {
-				r.env.Send(from, SlotMsg{Slot: msg.Slot, Inner: modpaxos.Decided{Val: v}})
+				reply, ok := r.replies[msg.Slot]
+				if !ok {
+					reply = SlotMsg{Slot: msg.Slot, Inner: modpaxos.Decided{Val: v}}
+					r.replies[msg.Slot] = reply
+				}
+				r.env.Send(from, reply)
 			}
 			return
 		}
@@ -842,10 +892,13 @@ func (r *Replica) instance(slot int64, proposal consensus.Value) *slotState {
 	if st, ok := r.slots[slot]; ok {
 		return st
 	}
-	env := &slotEnv{replica: r, slot: slot}
-	st := &slotState{proc: r.factory(r.id, r.n, proposal), env: env}
+	st := &slotState{
+		proc: r.factory(r.id, r.n, proposal),
+		env: slotEnv{replica: r, slot: slot,
+			store: prefixStore{inner: r.env.Store(), prefix: slotPrefix(slot)}},
+	}
 	r.slots[slot] = st
-	st.proc.Init(env)
+	st.proc.Init(&st.env)
 	return st
 }
 
@@ -908,6 +961,8 @@ func (r *Replica) onSlotDecided(slot int64, v consensus.Value) {
 // applyReady applies decided slots in order until the first gap,
 // acknowledges the applied commands' waiters, and retires the slots'
 // instances.
+//
+//repro:hotpath
 func (r *Replica) applyReady() {
 	progressed := false
 	for {
@@ -919,7 +974,8 @@ func (r *Replica) applyReady() {
 		r.applied++
 		progressed = true
 		if v != NoOp {
-			for i, cmd := range DecodeBatch(v) {
+			r.applyCmds = appendDecoded(r.applyCmds[:0], v)
+			for i, cmd := range r.applyCmds {
 				if cmd.Seq != 0 {
 					if s, ok := r.lookupSession(cmd.Client); ok && s.Seq >= cmd.Seq {
 						continue // duplicate of an applied op
@@ -942,8 +998,9 @@ func (r *Replica) applyReady() {
 				if qc.cmd.Seq != 0 {
 					delete(r.tracked, sessionKey{qc.cmd.Client, qc.cmd.Seq})
 				}
-				for _, w := range qc.waiters {
-					r.env.Send(w, Committed{Slot: slot, Seq: qc.cmd.Seq, Cmd: qc.cmd.Op})
+				for i := 0; i < qc.numWaiters(); i++ {
+					//repro:allow hotlint one Committed box per acknowledgement, inherent to a value-typed reply
+					r.env.Send(qc.waiterAt(i), Committed{Slot: slot, Seq: qc.cmd.Seq, Cmd: qc.cmd.Op})
 				}
 			}
 			delete(r.proposed, slot)
@@ -1068,7 +1125,7 @@ func (r *Replica) slotSpan(slot int64, kind string, begin bool, value int64) {
 		return
 	}
 	if sink, ok := r.env.(consensus.SpanSink); ok {
-		sink.Span(fmt.Sprintf("slot%d-%s", slot, kind), begin, value)
+		sink.Span(slotLabel(slot, kind), begin, value)
 	}
 }
 

@@ -130,6 +130,7 @@ func (r *Replica) truncateBelow(horizon int64, keys []string) {
 	for slot := range r.decisions {
 		if slot < horizon {
 			delete(r.decisions, slot)
+			delete(r.replies, slot)
 			delete(r.decidedAt, slot)
 		}
 	}

@@ -51,8 +51,10 @@ type Engine struct {
 	// multiExtra counts multicast recipients beyond the one the heap entry
 	// represents, so Pending can report undelivered deliveries — the same
 	// number a unicast schedule would — in O(1).
+	// vslab is the unused tail of the slab new vectors are carved from.
 	mvecs      [][]multiEntry
 	mfree      []int32
+	vslab      []multiEntry
 	multiExtra int
 
 	sink DeliverySink

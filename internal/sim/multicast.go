@@ -150,6 +150,17 @@ func (e *Engine) stepMulticast(si int32) bool {
 	return true
 }
 
+// Recipient-vector pool sizing. A cluster keeps a few dozen multicasts in
+// flight, so a fresh engine carves its vectors from a shared slab holding
+// vecSlabVectors vectors of the requested size (capped at vecSlabEntries
+// entries, so population runs do not reserve megabytes) instead of making
+// each one, and the pool slices start at vecPoolInitCap.
+const (
+	vecSlabVectors = 32
+	vecSlabEntries = 4096
+	vecPoolInitCap = 32
+)
+
 // allocVec takes a recipient vector from the pool (length zero, capacity
 // whatever its last use grew it to), growing the pool only when every
 // vector is attached to a scheduled multicast.
@@ -161,13 +172,36 @@ func (e *Engine) allocVec(sizeHint int) int32 {
 		mi = e.mfree[n-1]
 		e.mfree = e.mfree[:n-1]
 	} else {
+		if e.mvecs == nil {
+			e.mvecs = make([][]multiEntry, 0, vecPoolInitCap)
+			e.mfree = make([]int32, 0, vecPoolInitCap)
+		}
 		e.mvecs = append(e.mvecs, nil)
 		mi = int32(len(e.mvecs) - 1)
 	}
 	if cap(e.mvecs[mi]) < sizeHint {
-		e.mvecs[mi] = make([]multiEntry, 0, sizeHint)
+		e.mvecs[mi] = e.carveVec(sizeHint)
 	}
 	return mi
+}
+
+// carveVec returns an empty vector of capacity n cut from the engine's
+// slab, starting a new slab when the current one cannot hold it. The
+// three-index slice caps each vector at n, so an append past it reallocates
+// that vector alone instead of overwriting its neighbour.
+//
+//repro:hotpath
+func (e *Engine) carveVec(n int) []multiEntry {
+	if cap(e.vslab)-len(e.vslab) < n {
+		size := n * vecSlabVectors
+		if size > vecSlabEntries {
+			size = max(vecSlabEntries, n)
+		}
+		e.vslab = make([]multiEntry, 0, size)
+	}
+	start := len(e.vslab)
+	e.vslab = e.vslab[:start+n]
+	return e.vslab[start : start : start+n]
 }
 
 // releaseVec returns a vector to the pool, keeping its capacity.

@@ -34,7 +34,8 @@ type Node struct {
 	// protocol allocates nothing. IDs at or above the cap (the RSM
 	// multiplexes per-slot timers into unbounded ID blocks) fall back to
 	// the sparse map, which holds only live timers so memory stays
-	// bounded by concurrency, not by the highest ID ever armed.
+	// bounded by concurrency, not by the highest ID ever armed; they fire
+	// through the network's delivery sink, so they need no closure.
 	timers   []sim.Event
 	timerFns []func()
 	timersXL map[consensus.TimerID]sim.Event
@@ -185,22 +186,20 @@ func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 	}
 	global := n.drift.GlobalElapsed(d)
 	if i >= denseTimerCap {
-		// Sparse fallback: one closure per arm (like the pre-overhaul
-		// map), entries deleted on fire/cancel so only live timers are
-		// held.
+		// Sparse path: the timer rides the engine's closure-free delivery
+		// events (from = timerFrom, aux = the ID; see fireSparse), so an
+		// arm allocates nothing once the map has room. Entries are deleted
+		// on fire/cancel so only live timers are held.
 		if prev, ok := n.timersXL[id]; ok {
 			prev.Cancel()
 		}
 		if n.timersXL == nil {
 			n.timersXL = make(map[consensus.TimerID]sim.Event)
 		}
-		//repro:allow hotlint sparse fallback beyond denseTimerCap, off the steady-state path
-		n.timersXL[id] = n.nw.eng.After(global, func() {
-			delete(n.timersXL, id)
-			if n.up {
-				n.proc.HandleTimer(id)
-			}
-		})
+		if global < 0 {
+			global = 0
+		}
+		n.timersXL[id] = n.nw.eng.ScheduleDelivery(n.nw.eng.Now()+global, timerFrom, int32(n.id), int64(id), nil)
 		return
 	}
 	for i >= len(n.timers) {
@@ -220,6 +219,21 @@ func (n *Node) SetTimer(id consensus.TimerID, d time.Duration) {
 		}
 	}
 	n.timers[i] = n.nw.eng.After(global, n.timerFns[i])
+}
+
+// timerFrom is the delivery-event sender that marks a sparse timer firing:
+// process IDs are never negative, so the network's sink can tell the two
+// event kinds apart with one branch.
+const timerFrom int32 = -1
+
+// fireSparse runs a sparse timer whose delivery event came due.
+//
+//repro:hotpath
+func (n *Node) fireSparse(id consensus.TimerID) {
+	delete(n.timersXL, id)
+	if n.up {
+		n.proc.HandleTimer(id)
+	}
 }
 
 // CancelTimer implements consensus.Environment.

@@ -132,8 +132,13 @@ func New(eng *sim.Engine, cfg Config, factory consensus.Factory, proposals []con
 	// All message traffic flows through the engine's delivery sink: one
 	// closure per network instead of one per message in flight. The sink's
 	// aux value is the interned message-type ID, so delivery accounting
-	// never re-hashes the type string.
+	// never re-hashes the type string. Sparse timers (IDs at or above
+	// denseTimerCap) share the sink: from = timerFrom, aux = the timer ID.
 	eng.SetDeliverySink(func(from, to int32, aux int64, payload any) {
+		if from == timerFrom {
+			nw.nodes[to].fireSparse(consensus.TimerID(aux))
+			return
+		}
 		nw.nodes[to].deliver(consensus.ProcessID(from), payload.(consensus.Message), int(aux))
 	})
 	for i := 0; i < cfg.N; i++ {

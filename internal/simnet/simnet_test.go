@@ -411,3 +411,34 @@ type timerRecorder struct{ onTimer func(consensus.TimerID) }
 func (timerRecorder) Init(consensus.Environment)                           {}
 func (timerRecorder) HandleMessage(consensus.ProcessID, consensus.Message) {}
 func (r timerRecorder) HandleTimer(id consensus.TimerID)                   { r.onTimer(id) }
+
+// TestSparseTimerIsAllocFree pins the sparse timer path (IDs at or above
+// denseTimerCap, every RSM slot timer) at zero allocations per arm, fire
+// and cancel: the timer rides the network's delivery sink instead of a
+// closure per arm.
+func TestSparseTimerIsAllocFree(t *testing.T) {
+	eng, nw := build(t, Config{N: 1, Delta: 10 * time.Millisecond})
+	node := nw.Node(0)
+	fired := 0
+	node.up = true
+	node.proc = timerRecorder{onTimer: func(consensus.TimerID) { fired++ }}
+	const id = consensus.TimerID(denseTimerCap + 100)
+	cycle := func() {
+		node.SetTimer(id, time.Millisecond)
+		if !eng.Step() {
+			t.Fatal("sparse timer was not scheduled")
+		}
+		node.SetTimer(id, time.Millisecond)
+		node.CancelTimer(id)
+	}
+	cycle() // warm the sparse map and the engine's slot pool
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("sparse timer arm/fire/cancel allocated %.2f allocs/op, want 0", allocs)
+	}
+	if fired != 1002 {
+		t.Fatalf("sparse timer fired %d times, want 1002", fired)
+	}
+	if p := eng.Pending(); p != 0 || len(node.timersXL) != 0 {
+		t.Fatalf("%d events pending, %d sparse timers held after cancel, want 0/0", p, len(node.timersXL))
+	}
+}
