@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/simnet"
 )
 
 // allocBudgetFullRun bounds allocations for one N=5 modified-Paxos run
@@ -64,4 +65,41 @@ func TestSingleRunAllocBudget(t *testing.T) {
 			observed, allocBudgetObservedRun)
 	}
 	t.Logf("plain %.0f allocs/run, observed %.0f", allocs, observed)
+}
+
+// allocBudgetChaosBConsensusRun bounds allocations for one N=9 modified
+// B-Consensus run under the paper grid's chaos-monkey pre-TS network (half
+// of all messages dropped, the survivors delayed up to 2·TS). Every
+// received w-abcast enters the oracle hold-back queue and every vote
+// persists the Lamport clock, so per-message and per-persist allocation
+// shows up here first. Measured ~860 allocs/run with the hold-back item
+// reusing the message's box, one boxed Wab per round for stage-1
+// heartbeats, and state persisted through a pointer into a store-owned
+// cell; the same run cost ~2440 with a second box per Wab and a boxed
+// state copy per persist.
+const allocBudgetChaosBConsensusRun = 1100
+
+func TestChaosBConsensusRunAllocBudget(t *testing.T) {
+	cfg := repro.Config{
+		Protocol: repro.ModifiedBConsensus, N: 9,
+		Delta: 10 * time.Millisecond, TS: 200 * time.Millisecond,
+		Policy: simnet.Chaos{DropProb: 0.5},
+		Rho:    0.01, Seed: 7,
+	}
+	run := func() {
+		res, err := repro.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Decided {
+			t.Fatal("run did not decide")
+		}
+	}
+	run() // warm caches (plain-data type table)
+	allocs := testing.AllocsPerRun(20, run)
+	if allocs > allocBudgetChaosBConsensusRun {
+		t.Fatalf("chaos B-Consensus run allocated %.0f allocs, budget %d — a per-message or per-persist allocation came back",
+			allocs, allocBudgetChaosBConsensusRun)
+	}
+	t.Logf("%.0f allocs/run", allocs)
 }

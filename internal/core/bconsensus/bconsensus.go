@@ -149,10 +149,11 @@ type Process struct {
 	lc clock.Lamport
 
 	stage int
-	// wabLC is the timestamp of this round's w-abcast (retransmissions
-	// reuse it: they are the same logical message).
-	wabLC uint64
-	hb    oracle.Holdback
+	// wab is this round's w-abcast, boxed once: stage-1 retransmissions
+	// rebroadcast it unchanged, timestamp included (they are the same
+	// logical message).
+	wab consensus.Message
+	hb  oracle.Holdback
 	// firstDelivered records, per round, the estimate of the first
 	// oracle-delivered message of that round.
 	firstDelivered map[int64]consensus.Value
@@ -160,6 +161,10 @@ type Process struct {
 	secondVotes    map[int64]map[consensus.ProcessID]secondVote
 	maj            consensus.Value
 	hasMaj         bool
+
+	// decided is Decided{Val: st.Dec}, boxed once when the decision is
+	// made or restored and reused for every straggler reply and gossip.
+	decided consensus.Message
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -207,8 +212,9 @@ func (p *Process) Init(env consensus.Environment) {
 		p.lc.Witness(p.st.LC)
 	}
 	if p.st.Decided {
+		p.decided = Decided{Val: p.st.Dec}
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decided)
 		env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
@@ -216,9 +222,10 @@ func (p *Process) Init(env consensus.Environment) {
 	env.SetTimer(heartbeatTimer, p.cfg.Eps)
 }
 
+//repro:hotpath
 func (p *Process) persist() {
 	p.st.LC = p.lc.Now()
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("bconsensus: persist: %v", err)
 	}
 }
@@ -244,8 +251,8 @@ func (p *Process) enterRound(r int64) {
 	p.hasMaj = false
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
-	p.wabLC = p.tick()
-	p.env.Broadcast(Wab{LC: p.wabLC, Round: r, Est: p.st.Est})
+	p.wab = Wab{LC: p.tick(), Round: r, Est: p.st.Est}
+	p.env.Broadcast(p.wab)
 	p.maybeAdoptFirst()
 }
 
@@ -254,8 +261,8 @@ func (p *Process) enterRound(r int64) {
 func (p *Process) resumeRound() {
 	p.env.Emit("round", p.st.Round)
 	consensus.BeginSpan(p.env, "round", p.st.Round)
-	p.wabLC = p.tick()
-	p.env.Broadcast(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est})
+	p.wab = Wab{LC: p.tick(), Round: p.st.Round, Est: p.st.Est}
+	p.env.Broadcast(p.wab)
 	switch {
 	case p.st.SecondVoted:
 		p.stage = stageSecond
@@ -373,7 +380,7 @@ func (p *Process) witness(lcTS uint64, round int64, est consensus.Value) {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decided)
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -384,12 +391,14 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	case Wab:
 		p.witness(msg.LC, msg.Round, msg.Est)
 		// Into the hold-back queue; actual w-adelivery happens on the
-		// oracle timer, in (timestamp, sender) order.
+		// oracle timer, in (timestamp, sender) order. The payload is m,
+		// the interface value the message arrived in: storing msg would
+		// box the Wab a second time.
 		p.hb.Add(oracle.Item{
 			TS:      msg.LC,
 			Sender:  int(from),
 			ReadyAt: p.env.Now() + p.cfg.holdLocal(),
-			Payload: msg,
+			Payload: m,
 		})
 		p.armOracleTimer()
 	case First:
@@ -464,7 +473,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		// the oracle deduplicates by (timestamp, sender)).
 		switch p.stage {
 		case stageWab:
-			p.env.Broadcast(Wab{LC: p.wabLC, Round: p.st.Round, Est: p.st.Est})
+			p.env.Broadcast(p.wab)
 		case stageFirst:
 			p.env.Broadcast(First{LC: p.tick(), Round: p.st.Round, Est: p.st.Est})
 		case stageSecond:
@@ -473,7 +482,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.env.SetTimer(heartbeatTimer, p.cfg.Eps)
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decided)
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -485,11 +494,12 @@ func (p *Process) decide(v consensus.Value) {
 	}
 	p.st.Decided = true
 	p.st.Dec = v
+	p.decided = Decided{Val: v}
 	p.persist()
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "round", p.st.Round)
 	p.env.CancelTimer(oracleTimer)
 	p.env.CancelTimer(heartbeatTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decided)
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }

@@ -203,8 +203,8 @@ func TestHeartbeatRetransmitsCurrentStage(t *testing.T) {
 		t.Fatal("stage-1 heartbeat must re-wabcast")
 	}
 	// Same logical message: identical timestamp.
-	if m := env.SentTo(0)[0].(Wab); m.LC != p.wabLC {
-		t.Fatalf("re-wab used a new timestamp %d (want %d)", m.LC, p.wabLC)
+	if m, want := env.SentTo(0)[0].(Wab), p.wab.(Wab); m.LC != want.LC {
+		t.Fatalf("re-wab used a new timestamp %d (want %d)", m.LC, want.LC)
 	}
 	deliverWab(p, env, 1, Wab{LC: 2, Round: 0, Est: "w"})
 	env.ClearOutbox()
@@ -287,5 +287,42 @@ func TestDecidedReplies(t *testing.T) {
 	}
 	if d, ok := msgs[0].(Decided); !ok || d.Val != "v" {
 		t.Fatalf("reply = %#v", msgs[0])
+	}
+}
+
+// TestDuplicateWabIsAllocFree pins the oracle receive path: the hold-back
+// item carries the interface value the message arrived in, so a Wab is
+// never boxed a second time — and a retransmitted duplicate, which the
+// queue drops, costs nothing at all.
+func TestDuplicateWabIsAllocFree(t *testing.T) {
+	p, env := boot(t, 0, "v0")
+	var m consensus.Message = Wab{LC: 5, Round: 0, Est: "w"} // boxed once, like a delivery
+	p.HandleMessage(1, m)
+	env.ClearOutbox()
+	allocs := testing.AllocsPerRun(1000, func() { p.HandleMessage(1, m) })
+	if allocs != 0 {
+		t.Fatalf("duplicate Wab allocated %.1f allocs/op, want 0", allocs)
+	}
+	if p.hb.Len() != 1 {
+		t.Fatalf("hold-back holds %d items, want the one original", p.hb.Len())
+	}
+}
+
+// TestStage1HeartbeatResendsOneBox checks that every stage-1 heartbeat of
+// a round rebroadcasts the one Wab boxed on round entry: same timestamp,
+// same value, no new box per retransmission.
+func TestStage1HeartbeatResendsOneBox(t *testing.T) {
+	p, env := boot(t, 0, "v0")
+	entry := env.SentTo(0)[0]
+	env.ClearOutbox()
+	allocs := testing.AllocsPerRun(100, func() {
+		env.Outbox = env.Outbox[:0]
+		p.HandleTimer(heartbeatTimer)
+	})
+	if allocs != 0 {
+		t.Fatalf("stage-1 heartbeat allocated %.1f allocs/op, want 0", allocs)
+	}
+	if got := env.SentTo(0); len(got) != 1 || got[0] != entry {
+		t.Fatalf("heartbeat sent %#v, want the round-entry Wab %#v", got, entry)
 	}
 }

@@ -109,7 +109,7 @@ func New(cfg Config) (consensus.Factory, error) {
 		if c.StreakLen == 0 {
 			c.StreakLen = defaultStreak(n)
 		}
-		return &Process{id: id, n: n, cfg: c, opinion: proposal}
+		return &Process{id: id, n: n, cfg: c, st: durable{Opinion: proposal}}
 	}, nil
 }
 
@@ -126,16 +126,17 @@ type Process struct {
 	cfg Config
 	env consensus.Environment
 
-	opinion consensus.Value
-	round   int64
+	// st is the durable image, persisted through a pointer on every
+	// change.
+	st    durable
+	round int64
 	// sample collects the current round's replies in arrival order; got
 	// counts how many arrived. A fixed array keeps the hot path map-free
 	// and allocation-free.
 	sample [maxSamples]consensus.Value
 	got    int
 	// streak counts consecutive unanimous rounds; StreakLen of them decide.
-	streak  int
-	decided bool
+	streak int
 }
 
 // Init implements consensus.Process.
@@ -143,11 +144,10 @@ func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err == nil && ok {
-		p.opinion = st.Opinion
-		p.decided = st.Decided
+		p.st = st
 	}
-	if p.decided {
-		p.env.Decide(p.opinion)
+	if p.st.Decided {
+		p.env.Decide(p.st.Opinion)
 		return
 	}
 	p.beginRound()
@@ -158,9 +158,9 @@ func (p *Process) Init(env consensus.Environment) {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	switch m := m.(type) {
 	case Query:
-		p.env.Send(from, Reply{Round: m.Round, Opinion: p.opinion})
+		p.env.Send(from, Reply{Round: m.Round, Opinion: p.st.Opinion})
 	case Reply:
-		if p.decided || m.Round != p.round || p.got >= p.cfg.Samples {
+		if p.st.Decided || m.Round != p.round || p.got >= p.cfg.Samples {
 			return
 		}
 		p.sample[p.got] = m.Opinion
@@ -172,12 +172,12 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 
 // HandleTimer implements consensus.Process.
 func (p *Process) HandleTimer(id consensus.TimerID) {
-	if id != roundTimer || p.decided {
+	if id != roundTimer || p.st.Decided {
 		return
 	}
 	if p.got == p.cfg.Samples {
 		p.step()
-		if p.decided {
+		if p.st.Decided {
 			return
 		}
 	}
@@ -207,7 +207,7 @@ func (p *Process) armRound() {
 func (p *Process) step() {
 	unanimous := true
 	for i := 0; i < p.cfg.Samples; i++ {
-		if p.sample[i] != p.opinion {
+		if p.sample[i] != p.st.Opinion {
 			unanimous = false
 			break
 		}
@@ -234,30 +234,30 @@ func (p *Process) step() {
 		p.streak = 0
 	}
 	if p.streak >= p.cfg.StreakLen {
-		p.decided = true
+		p.st.Decided = true
 		p.persist()
 		p.env.CancelTimer(roundTimer)
-		p.env.Decide(p.opinion)
-		p.env.Broadcast(Decided{Val: p.opinion})
+		p.env.Decide(p.st.Opinion)
+		p.env.Broadcast(Decided{Val: p.st.Opinion})
 	}
 }
 
 // setOpinion installs a possibly new opinion, persisting only on change.
 func (p *Process) setOpinion(v consensus.Value) {
-	if v == p.opinion {
+	if v == p.st.Opinion {
 		return
 	}
-	p.opinion = v
+	p.st.Opinion = v
 	p.persist()
 }
 
 // adopt takes a decision learned from a Decided broadcast; see usd.adopt.
 func (p *Process) adopt(v consensus.Value) {
-	if p.decided {
+	if p.st.Decided {
 		return
 	}
-	p.decided = true
-	p.opinion = v
+	p.st.Decided = true
+	p.st.Opinion = v
 	p.streak = 0
 	p.persist()
 	p.env.CancelTimer(roundTimer)
@@ -265,8 +265,10 @@ func (p *Process) adopt(v consensus.Value) {
 }
 
 // persist writes the durable image; failures are logged, not fatal.
+//
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, durable{Opinion: p.opinion, Decided: p.decided}); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("majority: persist: %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func New(cfg Config) (consensus.Factory, error) {
 		if c.StreakLen == 0 {
 			c.StreakLen = defaultStreak(n)
 		}
-		return &Process{id: id, n: n, cfg: c, opinion: proposal}
+		return &Process{id: id, n: n, cfg: c, st: durable{Opinion: proposal}}
 	}, nil
 }
 
@@ -129,17 +129,18 @@ type Process struct {
 	cfg Config
 	env consensus.Environment
 
-	opinion consensus.Value
+	// st is the durable image, persisted through a pointer on every
+	// change.
+	st durable
 	// other is the complement opinion as last observed — the value the
 	// binary rule adopts when a unanimous sample leaves the minority
 	// opinion absent. Volatile: a restarted process re-learns it from its
 	// first mixed sample.
-	other   consensus.Value
-	round   int64
-	sample  [samples]consensus.Value
-	got     int
-	streak  int
-	decided bool
+	other  consensus.Value
+	round  int64
+	sample [samples]consensus.Value
+	got    int
+	streak int
 }
 
 // Init implements consensus.Process.
@@ -147,11 +148,10 @@ func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err == nil && ok {
-		p.opinion = st.Opinion
-		p.decided = st.Decided
+		p.st = st
 	}
-	if p.decided {
-		p.env.Decide(p.opinion)
+	if p.st.Decided {
+		p.env.Decide(p.st.Opinion)
 		return
 	}
 	p.beginRound()
@@ -162,12 +162,12 @@ func (p *Process) Init(env consensus.Environment) {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	switch m := m.(type) {
 	case Query:
-		p.env.Send(from, Reply{Round: m.Round, Opinion: p.opinion})
+		p.env.Send(from, Reply{Round: m.Round, Opinion: p.st.Opinion})
 	case Reply:
-		if p.decided || m.Round != p.round || p.got >= samples {
+		if p.st.Decided || m.Round != p.round || p.got >= samples {
 			return
 		}
-		if m.Opinion != p.opinion {
+		if m.Opinion != p.st.Opinion {
 			p.other = m.Opinion
 		}
 		p.sample[p.got] = m.Opinion
@@ -179,12 +179,12 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 
 // HandleTimer implements consensus.Process.
 func (p *Process) HandleTimer(id consensus.TimerID) {
-	if id != roundTimer || p.decided {
+	if id != roundTimer || p.st.Decided {
 		return
 	}
 	if p.got == samples {
 		p.step()
-		if p.decided {
+		if p.st.Decided {
 			return
 		}
 	}
@@ -215,7 +215,7 @@ func (p *Process) armRound() {
 // sampling lag keeps it sound through the lockstep oscillation, see the
 // package comment).
 func (p *Process) step() {
-	unanimous := p.sample[0] == p.opinion && p.sample[1] == p.opinion && p.sample[2] == p.opinion
+	unanimous := p.sample[0] == p.st.Opinion && p.sample[1] == p.st.Opinion && p.sample[2] == p.st.Opinion
 	s0, s1, s2 := p.sample[0], p.sample[1], p.sample[2]
 	switch {
 	case s0 == s1 && s1 == s2:
@@ -245,32 +245,32 @@ func (p *Process) step() {
 		p.streak = 0
 	}
 	if p.streak >= p.cfg.StreakLen {
-		p.decided = true
+		p.st.Decided = true
 		p.persist()
 		p.env.CancelTimer(roundTimer)
-		p.env.Decide(p.opinion)
-		p.env.Broadcast(Decided{Val: p.opinion})
+		p.env.Decide(p.st.Opinion)
+		p.env.Broadcast(Decided{Val: p.st.Opinion})
 	}
 }
 
 // setOpinion installs a possibly new opinion, persisting only on change
 // and remembering the displaced opinion as the complement.
 func (p *Process) setOpinion(v consensus.Value) {
-	if v == p.opinion {
+	if v == p.st.Opinion {
 		return
 	}
-	p.other = p.opinion
-	p.opinion = v
+	p.other = p.st.Opinion
+	p.st.Opinion = v
 	p.persist()
 }
 
 // adopt takes a decision learned from a Decided broadcast; see usd.adopt.
 func (p *Process) adopt(v consensus.Value) {
-	if p.decided {
+	if p.st.Decided {
 		return
 	}
-	p.decided = true
-	p.opinion = v
+	p.st.Decided = true
+	p.st.Opinion = v
 	p.streak = 0
 	p.persist()
 	p.env.CancelTimer(roundTimer)
@@ -278,8 +278,10 @@ func (p *Process) adopt(v consensus.Value) {
 }
 
 // persist writes the durable image; failures are logged, not fatal.
+//
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, durable{Opinion: p.opinion, Decided: p.decided}); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("minority: persist: %v", err)
 	}
 }

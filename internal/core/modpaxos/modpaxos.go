@@ -156,6 +156,10 @@ type Process struct {
 
 	// lastAnnounce is the local time of the last phase 1a/2a send.
 	lastAnnounce time.Duration
+
+	// decided is Decided{Val: st.Dec}, boxed once when the decision is
+	// made or restored and reused for every straggler reply and gossip.
+	decided consensus.Message
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -204,8 +208,9 @@ func (p *Process) Init(env consensus.Environment) {
 		p.persist()
 	}
 	if p.st.Decided {
+		p.decided = Decided{Val: p.st.Dec}
 		p.env.Decide(p.st.Dec)
-		p.env.Broadcast(Decided{Val: p.st.Dec})
+		p.env.Broadcast(p.decided)
 		p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
@@ -235,8 +240,9 @@ func (p *Process) Init(env consensus.Environment) {
 	}
 }
 
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("modpaxos: persist: %v", err)
 	}
 }
@@ -260,7 +266,7 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		// A decided process answers everything by announcing its value.
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decided)
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -304,7 +310,7 @@ func (p *Process) adopt(b consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	clear(p.p1bs)
 	if b.Session(p.n) > oldSession {
 		p.enterSession()
 	}
@@ -314,7 +320,8 @@ func (p *Process) adopt(b consensus.Ballot) {
 // reset the contact set, reset the session timer to the [4δ, σ] window, and
 // broadcast a phase 1a announcing the session (modification 3).
 func (p *Process) enterSession() {
-	p.contacts = map[consensus.ProcessID]bool{p.id: true}
+	clear(p.contacts)
+	p.contacts[p.id] = true
 	p.timerExpired = false
 	p.env.SetTimer(sessionTimer, p.cfg.sessionTimerLocal())
 	p.env.Emit("session", p.session())
@@ -338,7 +345,7 @@ func (p *Process) maybeStartPhase1() {
 	p.st.MBal = consensus.BallotFor(p.session()+1, p.id, p.n)
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	clear(p.p1bs)
 	p.enterSession()
 }
 
@@ -428,7 +435,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.env.SetTimer(heartbeatTimer, p.cfg.Eps)
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decided)
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -440,12 +447,13 @@ func (p *Process) decide(v consensus.Value) {
 	}
 	p.st.Decided = true
 	p.st.Dec = v
+	p.decided = Decided{Val: v}
 	p.persist()
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "session", p.session())
 	p.env.CancelTimer(sessionTimer)
 	p.env.CancelTimer(heartbeatTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decided)
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }
 
@@ -469,7 +477,7 @@ func (p *Process) Claim(session int64) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
+	clear(p.p1bs)
 	p.enterSession()
 }
 

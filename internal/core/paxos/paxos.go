@@ -81,6 +81,10 @@ type Process struct {
 	p1bs    map[consensus.ProcessID]P1b
 	p2bs    map[consensus.ProcessID]P2b
 	started bool // executed Start Phase 1 at least once for current mbal
+
+	// decided is Decided{Val: st.Dec}, boxed once when the decision is
+	// made or restored and reused for every straggler reply and gossip.
+	decided consensus.Message
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -110,14 +114,16 @@ func (p *Process) Init(env consensus.Environment) {
 		p.persist()
 	}
 	if p.st.Decided {
+		p.decided = Decided{Val: p.st.Dec}
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decided)
 	}
 	env.SetTimer(tickTimer, p.cfg.RetryInterval)
 }
 
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("paxos: persist: %v", err)
 	}
 }
@@ -130,7 +136,7 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	// "respond to every message by announcing the value" optimization).
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decided)
 		}
 	}
 	switch msg := m.(type) {
@@ -158,7 +164,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 	}
 	switch {
 	case p.st.Decided:
-		p.env.Broadcast(Decided{Val: p.st.Dec})
+		p.env.Broadcast(p.decided)
 		p.env.SetTimer(tickTimer, p.cfg.GossipInterval)
 	case p.leader == p.id:
 		// Spontaneous Start Phase 1 "every O(δ) seconds".
@@ -193,8 +199,8 @@ func (p *Process) startPhase1(atLeast consensus.Ballot) {
 	p.st.MBal = b
 	p.st.Sent2a = false
 	p.persist()
-	p.p1bs = make(map[consensus.ProcessID]P1b)
-	p.p2bs = make(map[consensus.ProcessID]P2b)
+	clear(p.p1bs)
+	clear(p.p2bs)
 	p.started = true
 	p.env.Emit("ballot", int64(b))
 	consensus.BeginSpan(p.env, "ballot", int64(b))
@@ -306,9 +312,10 @@ func (p *Process) decide(v consensus.Value) {
 	}
 	p.st.Decided = true
 	p.st.Dec = v
+	p.decided = Decided{Val: v}
 	p.persist()
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "ballot", int64(p.st.MBal))
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decided)
 	p.env.SetTimer(tickTimer, p.cfg.GossipInterval)
 }

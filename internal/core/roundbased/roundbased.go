@@ -117,6 +117,10 @@ type Process struct {
 	sentCoord bool
 	coordVal  consensus.Value
 	acks      map[consensus.ProcessID]bool
+
+	// decided is Decided{Val: st.Dec}, boxed once when the decision is
+	// made or restored and reused for every straggler reply and gossip.
+	decided consensus.Message
 }
 
 var _ consensus.Process = (*Process)(nil)
@@ -145,6 +149,9 @@ func MustNew(cfg Config) consensus.Factory {
 // Init implements consensus.Process.
 func (p *Process) Init(env consensus.Environment) {
 	p.env = env
+	p.inRound = make(map[consensus.ProcessID]bool)
+	p.estimates = make(map[consensus.ProcessID]Estimate)
+	p.acks = make(map[consensus.ProcessID]bool)
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err != nil {
 		env.Logf("roundbased: restore: %v", err)
@@ -154,16 +161,18 @@ func (p *Process) Init(env consensus.Environment) {
 		p.persist()
 	}
 	if p.st.Decided {
+		p.decided = Decided{Val: p.st.Dec}
 		env.Decide(p.st.Dec)
-		env.Broadcast(Decided{Val: p.st.Dec})
+		env.Broadcast(p.decided)
 		env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		return
 	}
 	p.enterRound(p.st.Round)
 }
 
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, p.st); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("roundbased: persist: %v", err)
 	}
 }
@@ -180,10 +189,11 @@ func (p *Process) enterRound(r int64) {
 	p.st.Round = r
 	p.persist()
 	p.timedOut = false
-	p.inRound = map[consensus.ProcessID]bool{p.id: true}
-	p.estimates = make(map[consensus.ProcessID]Estimate)
+	clear(p.inRound)
+	p.inRound[p.id] = true
+	clear(p.estimates)
 	p.sentCoord = false
-	p.acks = make(map[consensus.ProcessID]bool)
+	clear(p.acks)
 	p.env.Emit("round", r)
 	consensus.BeginSpan(p.env, "round", r)
 
@@ -221,7 +231,7 @@ func (p *Process) maybeAdvance() {
 func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	if p.st.Decided {
 		if _, isDecided := m.(Decided); !isDecided {
-			p.env.Send(from, Decided{Val: p.st.Dec})
+			p.env.Send(from, p.decided)
 		}
 		if d, isDecided := m.(Decided); isDecided {
 			p.decide(d.Val)
@@ -334,7 +344,7 @@ func (p *Process) HandleTimer(id consensus.TimerID) {
 		p.maybeAdvance()
 	case gossipTimer:
 		if p.st.Decided {
-			p.env.Broadcast(Decided{Val: p.st.Dec})
+			p.env.Broadcast(p.decided)
 			p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 		}
 	}
@@ -346,10 +356,11 @@ func (p *Process) decide(v consensus.Value) {
 	}
 	p.st.Decided = true
 	p.st.Dec = v
+	p.decided = Decided{Val: v}
 	p.persist()
 	p.env.Decide(v)
 	consensus.EndSpan(p.env, "round", p.st.Round)
 	p.env.CancelTimer(roundTimer)
-	p.env.Broadcast(Decided{Val: v})
+	p.env.Broadcast(p.decided)
 	p.env.SetTimer(gossipTimer, p.cfg.GossipInterval)
 }

@@ -106,7 +106,7 @@ func New(cfg Config) (consensus.Factory, error) {
 		if c.StreakLen == 0 {
 			c.StreakLen = defaultStreak(n)
 		}
-		return &Process{id: id, n: n, cfg: c, opinion: proposal}
+		return &Process{id: id, n: n, cfg: c, st: durable{Opinion: proposal}}
 	}, nil
 }
 
@@ -125,17 +125,17 @@ type Process struct {
 	cfg Config
 	env consensus.Environment
 
-	opinion   consensus.Value
-	undecided bool
-	round     int64
+	// st is the durable image, persisted through a pointer on every
+	// change.
+	st    durable
+	round int64
 	// sample collects the current round's reply (USD samples one process
 	// per round); got counts how many arrived.
 	sample  consensus.Value
 	sampleU bool
 	got     int
 	// streak counts consecutive unanimous rounds; StreakLen of them decide.
-	streak  int
-	decided bool
+	streak int
 }
 
 // Init implements consensus.Process.
@@ -143,12 +143,10 @@ func (p *Process) Init(env consensus.Environment) {
 	p.env = env
 	var st durable
 	if ok, err := env.Store().Get(stateKey, &st); err == nil && ok {
-		p.opinion = st.Opinion
-		p.undecided = st.Undecided
-		p.decided = st.Decided
+		p.st = st
 	}
-	if p.decided {
-		p.env.Decide(p.opinion)
+	if p.st.Decided {
+		p.env.Decide(p.st.Opinion)
 		return
 	}
 	p.beginRound()
@@ -161,9 +159,9 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 	case Query:
 		// Answer with the current state; decided processes answer with
 		// their decision, pulling stragglers forward.
-		p.env.Send(from, Reply{Round: m.Round, Opinion: p.opinion, Undecided: p.undecided})
+		p.env.Send(from, Reply{Round: m.Round, Opinion: p.st.Opinion, Undecided: p.st.Undecided})
 	case Reply:
-		if p.decided || m.Round != p.round || p.got >= 1 {
+		if p.st.Decided || m.Round != p.round || p.got >= 1 {
 			return
 		}
 		p.sample = m.Opinion
@@ -176,12 +174,12 @@ func (p *Process) HandleMessage(from consensus.ProcessID, m consensus.Message) {
 
 // HandleTimer implements consensus.Process.
 func (p *Process) HandleTimer(id consensus.TimerID) {
-	if id != roundTimer || p.decided {
+	if id != roundTimer || p.st.Decided {
 		return
 	}
 	if p.got == 1 {
 		p.step()
-		if p.decided {
+		if p.st.Decided {
 			return
 		}
 	}
@@ -210,18 +208,18 @@ func (p *Process) step() {
 	// Unanimity is judged on the pre-update state: an opinionated process
 	// whose sample matches keeps its opinion, so the update is a no-op on
 	// exactly the rounds that extend the streak.
-	unanimous := !p.undecided && !p.sampleU && p.sample == p.opinion
+	unanimous := !p.st.Undecided && !p.sampleU && p.sample == p.st.Opinion
 	switch {
-	case p.undecided:
+	case p.st.Undecided:
 		if !p.sampleU {
-			p.opinion = p.sample
-			p.undecided = false
+			p.st.Opinion = p.sample
+			p.st.Undecided = false
 			p.persist()
 		}
 	case p.sampleU:
 		// Sampling an undecided process changes nothing.
-	case p.sample != p.opinion:
-		p.undecided = true
+	case p.sample != p.st.Opinion:
+		p.st.Undecided = true
 		p.persist()
 	}
 	if unanimous {
@@ -230,13 +228,13 @@ func (p *Process) step() {
 		p.streak = 0
 	}
 	if p.streak >= p.cfg.StreakLen {
-		p.decided = true
+		p.st.Decided = true
 		p.persist()
 		p.env.CancelTimer(roundTimer)
-		p.env.Decide(p.opinion)
+		p.env.Decide(p.st.Opinion)
 		// One broadcast per threshold decision; adopters stay silent, so
 		// the decision wave is O(deciders·n) deliveries, not O(n²) always.
-		p.env.Broadcast(Decided{Val: p.opinion})
+		p.env.Broadcast(Decided{Val: p.st.Opinion})
 	}
 }
 
@@ -244,12 +242,12 @@ func (p *Process) step() {
 // sticky: a process that already decided ignores later broadcasts (any
 // conflict is the original deciders' and the safety checker flags it).
 func (p *Process) adopt(v consensus.Value) {
-	if p.decided {
+	if p.st.Decided {
 		return
 	}
-	p.decided = true
-	p.opinion = v
-	p.undecided = false
+	p.st.Decided = true
+	p.st.Opinion = v
+	p.st.Undecided = false
 	p.streak = 0
 	p.persist()
 	p.env.CancelTimer(roundTimer)
@@ -258,8 +256,10 @@ func (p *Process) adopt(v consensus.Value) {
 
 // persist writes the durable image; failures are logged, not fatal (the
 // in-memory state remains correct for this incarnation).
+//
+//repro:hotpath
 func (p *Process) persist() {
-	if err := p.env.Store().Put(stateKey, durable{Opinion: p.opinion, Undecided: p.undecided, Decided: p.decided}); err != nil {
+	if err := p.env.Store().Put(stateKey, &p.st); err != nil {
 		p.env.Logf("usd: persist: %v", err)
 	}
 }

@@ -16,10 +16,7 @@
 // received oracle messages in.
 package oracle
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Item is one held message awaiting oracle delivery.
 type Item struct {
@@ -49,13 +46,25 @@ func less(a, b Item) bool {
 // The zero value is an empty queue ready for use.
 type Holdback struct {
 	items     []Item // sorted by (TS, Sender)
+	ready     []Item // Ready's result buffer, reused across calls
 	delivered int    // count of delivered messages (for tests/metrics)
 }
 
 // Add inserts a received message. Duplicates — same (TS, Sender) — are
 // ignored, which makes retransmission through the oracle idempotent.
+//
+//repro:hotpath
 func (h *Holdback) Add(it Item) {
-	i := sort.Search(len(h.items), func(i int) bool { return !less(h.items[i], it) })
+	// Binary search for the first held item not less than it.
+	i, j := 0, len(h.items)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if less(h.items[m], it) {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
 	if i < len(h.items) && h.items[i].TS == it.TS && h.items[i].Sender == it.Sender {
 		return
 	}
@@ -68,6 +77,12 @@ func (h *Holdback) Add(it Item) {
 // whose hold-back has expired at local time now. Delivery stops at the
 // first unexpired message even if later ones have expired: delivering
 // around it would violate timestamp order.
+//
+// The returned slice is a buffer the queue reuses: it is valid until the
+// next call to Ready. Add does not touch it, so the caller may Add while
+// ranging over the result.
+//
+//repro:hotpath
 func (h *Holdback) Ready(now time.Duration) []Item {
 	n := 0
 	for n < len(h.items) && h.items[n].ReadyAt <= now {
@@ -76,11 +91,10 @@ func (h *Holdback) Ready(now time.Duration) []Item {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Item, n)
-	copy(out, h.items[:n])
+	h.ready = append(h.ready[:0], h.items[:n]...)
 	h.items = h.items[:copy(h.items, h.items[n:])]
 	h.delivered += n
-	return out
+	return h.ready
 }
 
 // NextDeadline returns the earliest hold-back expiry among messages that
@@ -89,6 +103,8 @@ func (h *Holdback) Ready(now time.Duration) []Item {
 //
 // Note this is the expiry of the queue head specifically: a later message
 // with an earlier deadline cannot be delivered before the head anyway.
+//
+//repro:hotpath
 func (h *Holdback) NextDeadline() (time.Duration, bool) {
 	if len(h.items) == 0 {
 		return 0, false

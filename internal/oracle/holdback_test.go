@@ -190,3 +190,43 @@ func TestQuickSameOrderAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWarmAddReadyIsAllocFree pins the hold-back hot path: once the queue
+// and Ready's result buffer have grown, receiving and delivering messages
+// allocates nothing — Add inserts in place and Ready reuses its buffer.
+func TestWarmAddReadyIsAllocFree(t *testing.T) {
+	var h Holdback
+	var payload any = struct{ round int }{1} // boxed once, like a received message
+	ts := uint64(0)
+	cycle := func() {
+		for s := 3; s >= 0; s-- { // out of order: exercises the insertion search
+			h.Add(Item{TS: ts, Sender: s, ReadyAt: time.Duration(ts), Payload: payload})
+		}
+		h.Add(Item{TS: ts, Sender: 2, ReadyAt: time.Duration(ts), Payload: payload}) // duplicate
+		if got := h.Ready(time.Duration(ts)); len(got) != 4 {
+			t.Fatalf("Ready delivered %d items, want 4", len(got))
+		}
+		ts++
+	}
+	cycle() // warm up the queue and the Ready buffer
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("warm Add+Ready allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestReadyBufferIsReusedOnlyAcrossReady documents Ready's contract: its
+// result stays valid through Adds and is overwritten by the next Ready.
+func TestReadyBufferIsReusedOnlyAcrossReady(t *testing.T) {
+	var h Holdback
+	h.Add(item(1, 0, 0))
+	h.Add(item(2, 0, 5))
+	first := h.Ready(0)
+	h.Add(item(0, 1, 0)) // an Add while the caller still holds first
+	if len(first) != 1 || first[0].TS != 1 {
+		t.Fatalf("Add disturbed Ready's result: %+v", first)
+	}
+	second := h.Ready(5)
+	if len(second) != 2 || second[0].TS != 0 || second[1].TS != 2 {
+		t.Fatalf("second Ready = %+v, want TS 0 then 2", second)
+	}
+}

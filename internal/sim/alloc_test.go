@@ -200,3 +200,31 @@ func TestBatchedBroadcastIsAllocFree(t *testing.T) {
 		t.Fatalf("sink saw %d deliveries", delivered)
 	}
 }
+
+// TestResetIsAllocFree pins arena reuse of the engine: resetting a warm
+// engine reseeds its generator in place and rebuilds the free lists over
+// the existing storage, allocating nothing, and the reseeded generator
+// yields the same stream as a fresh engine's.
+func TestResetIsAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	e.SetDeliverySink(func(int32, int32, int64, any) {})
+	mc := e.BeginMulticast(0, 0, "x", 4)
+	mc.Add(1, time.Millisecond)
+	mc.Commit()
+	e.After(time.Millisecond, func() {})
+	e.Run(time.Hour)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		e.Reset(seed)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset on a warm engine allocated %.1f allocs/op, want 0", allocs)
+	}
+	fresh := rand.New(rand.NewSource(seed))
+	for i := 0; i < 100; i++ {
+		if got, want := e.Rand().Int63(), fresh.Int63(); got != want {
+			t.Fatalf("draw %d after Reset(%d) = %d, fresh engine draws %d", i, seed, got, want)
+		}
+	}
+}

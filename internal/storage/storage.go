@@ -5,9 +5,9 @@
 //
 // Two implementations are provided: an in-memory store used by the
 // deterministic simulator (the store holds isolated copies — plain-data
-// values as boxed copies, everything else gob round-tripped — exactly like
-// real persistence), and a file-backed store used by the live goroutine
-// runtime.
+// values as boxed copies or store-owned cells, everything else gob
+// round-tripped — exactly like real persistence), and a file-backed store
+// used by the live goroutine runtime.
 package storage
 
 import (
@@ -25,7 +25,8 @@ import (
 // that data written by Put survives a crash of the owning process (in the
 // simulator, that the data survives the process object being discarded).
 type Store interface {
-	// Put durably stores value (gob-encoded) under key.
+	// Put durably stores value (gob-encoded) under key. A pointer stores
+	// its pointee: Put(k, &v) and Put(k, v) write the same record.
 	Put(key string, value any) error
 	// Get decodes the value stored under key into out (a pointer). It
 	// reports whether the key was present.
@@ -40,19 +41,26 @@ type Store interface {
 // Put — mutating a value after Put does not change what a later Get
 // returns, matching disk semantics.
 //
-// Two representations provide that guarantee. Values whose type is plain
+// Three representations provide that guarantee. Values whose type is plain
 // data — no pointers, slices, maps, or other mutable indirection (strings
 // are immutable, so they count as plain) — are kept as the boxed copy Put
 // received: the caller cannot reach that copy, so it is already as
-// isolated as encoded bytes, for free. Every protocol's durable state is
-// such a struct, which takes the gob round-trip out of the simulator's
-// persist path entirely. Other types fall back to the gob round-trip.
+// isolated as encoded bytes, for free. A pointer to plain data is copied
+// into a cell the store owns: the first such Put of a key allocates the
+// cell, and every later Put of the same type overwrites it in place, so a
+// protocol that persists its durable struct through a pointer
+// (Put(key, &p.st)) allocates nothing per write. Get copies out of the
+// cell, never handing out the store's memory. Every protocol's durable
+// state is such a struct, which takes the gob round-trip out of the
+// simulator's persist path entirely. Other types, and nil pointers, fall
+// back to the gob round-trip.
 //
 // MemStore is safe for concurrent use. The zero value is ready to use.
 type MemStore struct {
 	mu    sync.Mutex
-	data  map[string][]byte // gob-encoded values (types with indirection)
-	plain map[string]any    // boxed copies (plain-data types)
+	data  map[string][]byte        // gob-encoded values (types with indirection)
+	plain map[string]any           // boxed copies (plain-data values)
+	cells map[string]reflect.Value // store-owned copies (pointers to plain data)
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -62,14 +70,19 @@ var _ Store = (*MemStore)(nil)
 
 // Put implements Store.
 func (s *MemStore) Put(key string, value any) error {
-	if value != nil && isPlainData(reflect.TypeOf(value)) {
+	if rv := reflect.ValueOf(value); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		if s.putCell(key, rv.Elem()) {
+			return nil
+		}
+	} else if value != nil && isPlainData(reflect.TypeOf(value)) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.plain == nil {
 			s.plain = make(map[string]any)
 		}
 		s.plain[key] = value
-		delete(s.data, key) // the key may previously have held an encoded value
+		delete(s.data, key) // the key may previously have held another representation
+		delete(s.cells, key)
 		return nil
 	}
 	buf, err := encode(value)
@@ -83,26 +96,52 @@ func (s *MemStore) Put(key string, value any) error {
 	}
 	s.data[key] = buf
 	delete(s.plain, key)
+	delete(s.cells, key)
 	return nil
+}
+
+// putCell copies v (the pointee of a pointer Put) into key's cell and
+// reports whether it did; false means v is not plain data and must take
+// the gob path. A key that already holds a cell of v's type is overwritten
+// in place: no type-table lookup and no allocation.
+//
+//repro:hotpath
+func (s *MemStore) putCell(key string, v reflect.Value) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cell, ok := s.cells[key]; ok && cell.Type() == v.Type() {
+		cell.Set(v)
+		return true
+	}
+	if !isPlainData(v.Type()) {
+		return false
+	}
+	cell := reflect.New(v.Type()).Elem()
+	cell.Set(v)
+	if s.cells == nil {
+		s.cells = make(map[string]reflect.Value)
+	}
+	s.cells[key] = cell
+	delete(s.data, key)
+	delete(s.plain, key)
+	return true
 }
 
 // Get implements Store.
 func (s *MemStore) Get(key string, out any) (bool, error) {
 	s.mu.Lock()
+	if cell, ok := s.cells[key]; ok {
+		// Copy under the lock: a concurrent Put overwrites the cell in place.
+		err := copyOut(key, cell, out)
+		s.mu.Unlock()
+		return err == nil, err
+	}
 	v, plainOK := s.plain[key]
 	buf, ok := s.data[key]
 	s.mu.Unlock()
 	if plainOK {
-		rout := reflect.ValueOf(out)
-		if rout.Kind() != reflect.Pointer || rout.IsNil() {
-			return false, fmt.Errorf("storage: get %q: out must be a non-nil pointer", key)
-		}
-		rv := reflect.ValueOf(v)
-		if rv.Type() != rout.Elem().Type() {
-			return false, fmt.Errorf("storage: get %q: stored %s, requested %s", key, rv.Type(), rout.Elem().Type())
-		}
-		rout.Elem().Set(rv)
-		return true, nil
+		err := copyOut(key, reflect.ValueOf(v), out)
+		return err == nil, err
 	}
 	if !ok {
 		return false, nil
@@ -113,12 +152,27 @@ func (s *MemStore) Get(key string, out any) (bool, error) {
 	return true, nil
 }
 
+// copyOut copies a stored plain-data value into *out, erroring on a type
+// mismatch the way a gob decode would.
+func copyOut(key string, v reflect.Value, out any) error {
+	rout := reflect.ValueOf(out)
+	if rout.Kind() != reflect.Pointer || rout.IsNil() {
+		return fmt.Errorf("storage: get %q: out must be a non-nil pointer", key)
+	}
+	if v.Type() != rout.Elem().Type() {
+		return fmt.Errorf("storage: get %q: stored %s, requested %s", key, v.Type(), rout.Elem().Type())
+	}
+	rout.Elem().Set(v)
+	return nil
+}
+
 // Delete implements Store.
 func (s *MemStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.data, key)
 	delete(s.plain, key)
+	delete(s.cells, key)
 	return nil
 }
 
@@ -130,17 +184,21 @@ func (s *MemStore) Reset() {
 	defer s.mu.Unlock()
 	clear(s.data)
 	clear(s.plain)
+	clear(s.cells)
 }
 
 // Keys implements Store.
 func (s *MemStore) Keys() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.data)+len(s.plain))
+	keys := make([]string, 0, len(s.data)+len(s.plain)+len(s.cells))
 	for k := range s.data {
 		keys = append(keys, k)
 	}
 	for k := range s.plain {
+		keys = append(keys, k)
+	}
+	for k := range s.cells {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -291,6 +349,10 @@ func (s *FileStore) Keys() ([]string, error) {
 }
 
 func encode(value any) ([]byte, error) {
+	// gob panics on a nil pointer; report it as the error it is.
+	if rv := reflect.ValueOf(value); rv.Kind() == reflect.Pointer && rv.IsNil() {
+		return nil, fmt.Errorf("cannot encode nil pointer of type %s", rv.Type())
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(value); err != nil {
 		return nil, err
